@@ -21,9 +21,12 @@ from .geom import (
     RayCell,
     RegionCell,
     SegCell,
+    _as_param,
+    cell_constraints,
     cell_contains_cell,
+    clip_interval,
     full_space,
-    intersect_cells,
+    line_intersection,
     make_line,
     make_seg,
     perp,
@@ -120,8 +123,6 @@ class Arrangement:
         self.cells = cells
 
     def _build_2d(self, two_cells: bool) -> None:
-        from .geom import line_intersection
-
         verts: set[Vec] = set()
         on_line: dict[int, set[Vec]] = {i: set() for i in range(len(self.lines))}
         for i in range(len(self.lines)):
@@ -405,42 +406,23 @@ def _merge_collinear(v: Vec, c1: Cell, c2: Cell) -> Optional[Cell]:
 def _covered_1d(cell: Cell, cells: Sequence[Cell]) -> bool:
     """Whether the union of `cells` covers the 1-dimensional `cell` exactly.
 
-    Works on the parameter line of the cell; +/-infinity are represented by
-    floats, which compare exactly against Fractions.
+    Works on the parameter interval of the cell; a None bound is unbounded.
     """
-    from .geom import _as_param
-
-    neg_inf, pos_inf = float("-inf"), float("inf")
     base, d, lo, hi = _as_param(cell)
-    d2 = dot(d, d)
-
-    def param_of(p: Vec) -> Fraction:
-        return dot(d, vsub(p, base)) / d2
-
-    intervals = []
+    pieces = []
     for other in cells:
         if other.dim < 1:
             continue
-        inter = intersect_cells(cell, other)
-        if inter is None or inter.dim == 0:
-            continue
-        if isinstance(inter, SegCell):
-            ta, tb = param_of(inter.a), param_of(inter.b)
-            intervals.append((min(ta, tb), max(ta, tb)))
-        elif isinstance(inter, RayCell):
-            t0 = param_of(inter.base)
-            forward = dot(d, tuple(Fraction(x) for x in inter.dir)) > 0
-            intervals.append((t0, pos_inf) if forward else (neg_inf, t0))
-        elif isinstance(inter, LineCell):
-            return True
-    intervals.sort(key=lambda iv: iv[0])
-    cursor = neg_inf if lo is None else lo
-    target = pos_inf if hi is None else hi
-    for t0, t1 in intervals:
-        if cursor >= target:
-            return True
-        if t0 > cursor:
+        clipped = clip_interval(base, d, lo, hi, cell_constraints(other))
+        if clipped is not None and (clipped[0] is None or clipped[0] != clipped[1]):
+            pieces.append(clipped)
+    pieces.sort(key=lambda iv: (iv[0] is not None, iv[0] or _ZERO))
+    reach = lo  # covered from lo up to here; None: nothing yet, lo unbounded
+    for t0, t1 in pieces:
+        if t0 is not None and (reach is None or t0 > reach):
             return False
-        if t1 > cursor:
-            cursor = t1
-    return cursor >= target
+        if t1 is None:
+            return True
+        if reach is None or t1 > reach:
+            reach = t1
+    return hi is not None and reach is not None and reach >= hi

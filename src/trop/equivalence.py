@@ -20,8 +20,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .complexes import cross_tie_lines, tie_lines
 from .errors import ArityError, InternalContradiction
-from .geom import Cell, PointCell, RayCell, cell_contains_cell, make_seg
+from .geom import (
+    Cell,
+    PointCell,
+    RayCell,
+    _as_param,
+    cell_constraints,
+    cell_contains_cell,
+    make_line,
+    make_seg,
+    polyhedron,
+    primitive_signed,
+)
 from .linear import Constraint, Vec, dot, feasible, form_ge, vadd, vscale
 from .loci import AlgebraicSet
 from .poly import Point, TropicalPolynomial
@@ -53,12 +65,6 @@ class Disagreement:
 
 
 # -- restriction of a polynomial to a 1-dimensional cell -----------------------
-
-
-def _as_param(cell: Cell):
-    from .geom import _as_param as gp
-
-    return gp(cell)
 
 
 def _restricted_groups(
@@ -137,18 +143,12 @@ def _piece_cells(cell: Cell, ts: list[Fraction]):
             sub = make_seg(at(a), at(b))
             mid = (a + b) / 2
         elif a is None and b is None:
-            from .geom import make_line
-
             sub = make_line(base, d)
             mid = Fraction(0)
         elif a is None:
-            from .geom import primitive_signed
-
             sub = RayCell(cell.arity, at(b), primitive_signed(tuple(-x for x in d)))
             mid = b - 1
         else:
-            from .geom import primitive_signed
-
             sub = RayCell(cell.arity, at(a), primitive_signed(d))
             mid = a + 1
         yield sub, mid, False
@@ -227,9 +227,6 @@ def _compare_full_dim(
     cell: Cell, f: TropicalPolynomial, g: TropicalPolynomial, patterns=((),)
 ) -> list[Disagreement]:
     """Compare on a full-dimensional cell (its relative interior is open)."""
-    from .complexes import cross_tie_lines, tie_lines
-    from .geom import cell_constraints
-
     n = cell.arity
     region = _strict(cell_constraints(cell))
     forms_f = f.forms()
@@ -280,11 +277,9 @@ def _compare_full_dim(
     lines = tie_lines(f) | tie_lines(g) | cross_tie_lines(f, g)
     out: list[Disagreement] = []
     seen = set()
-    from .geom import polyhedron, cell_constraints as ccs
-
     for line in sorted(lines, key=lambda l: (l.a, l.c)):
         normal = tuple(Fraction(x) for x in line.a)
-        cons = list(ccs(cell)) + [
+        cons = list(cell_constraints(cell)) + [
             Constraint(normal, line.c),
             Constraint(vscale(Fraction(-1), normal), -line.c),
         ]
@@ -614,8 +609,6 @@ def _tangible_dense_on(X: AlgebraicSet, g: TropicalPolynomial) -> bool:
         if cell.arity == cell.dim:
             # full-dimensional: no ghost-coefficient term may dominate an
             # open subregion (ties are lower-dimensional automatically)
-            from .geom import cell_constraints
-
             region = _strict(cell_constraints(cell))
             forms = g.forms()
             for i, m in enumerate(g.terms):

@@ -5,6 +5,12 @@ form: a point, a segment, a ray, a full line, or a two-dimensional region
 (kept as an H-representation with a cached V-representation).  Cells are
 the carriers of all the piecewise-linear geometry in the package; every
 coordinate is a Fraction and every predicate is decided exactly.
+
+Intersections are computed in closed form.  A 1-cell is a parameter
+interval on a line, clipped by the other operand's constraints
+(`clip_interval`).  A planar system is decided by clipping the boundary
+line of each constraint by the whole system (`polyhedron`).  No general
+linear solver is involved, apart from the interior sample of a region.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from .linear import (
     Constraint,
     Vec,
     dot,
-    feasible,
     feasible_point,
     is_zero,
     primitive,
@@ -248,7 +253,12 @@ def _constraint_key(c: Constraint):
 def polyhedron(constraints: Iterable[Constraint], arity: int) -> Optional[Cell]:
     """The solution set of a weak system as a canonical cell, or None.
 
-    Supports arity 1 and 2 (the exact-geometry range of the package).
+    Supports arity 1 and 2 (the exact-geometry range of the package).  In
+    the plane, the boundary line of every constraint is clipped by the whole
+    system: the set is empty when no boundary meets it, a point when every
+    boundary meets it in a point, a 1-cell on a boundary whose opposite
+    constraint is also present, and otherwise a region whose facets are the
+    boundaries met in a 1-cell.
     """
     if arity not in (1, 2):
         raise ArityError(f"exact geometry supports arity 1 or 2, got {arity}")
@@ -256,27 +266,33 @@ def polyhedron(constraints: Iterable[Constraint], arity: int) -> Optional[Cell]:
     for c in cs:
         if is_zero(c.coeffs):
             return None  # an unsatisfiable constant constraint
-    p = feasible_point(cs, arity)
-    if p is None:
-        return None
-    strict = [Constraint(c.coeffs, c.rhs, True) for c in cs]
-    if feasible(strict, arity):
-        if arity == 1:
-            return _interval_cell(cs)
-        reduced = _irredundant(cs, arity)
-        if not reduced:
-            return full_space(arity)
-        return RegionCell(arity, tuple(reduced))
-    # lower-dimensional: collect implicit equalities
-    eqs = []
-    for i, c in enumerate(cs):
-        others = cs[:i] + cs[i + 1 :] + [Constraint(c.coeffs, c.rhs, True)]
-        if not feasible(others, arity):
-            eqs.append(c)
-    basis = _null_direction(eqs, arity)
-    if basis is None:
-        return PointCell(arity, p)
-    return _clip_line(p, basis, cs)
+    if arity == 1:
+        return _clip_cell((_ZERO,), (_ONE,), None, None, cs)
+    if not cs:
+        return full_space(2)
+    keys = [_constraint_key(c) for c in cs]
+    present = set(keys)
+    seen = set()
+    facets = []
+    point = None
+    for c, k in zip(cs, keys):
+        if k in seen:
+            continue  # same boundary: clips alike, and the first one is kept
+        seen.add(k)
+        base, d = _boundary(c)
+        clipped = clip_interval(base, d, None, None, cs)
+        if clipped is None:
+            continue
+        lo, hi = clipped
+        if lo is not None and lo == hi:
+            point = vadd(base, vscale(lo, d))
+        elif (tuple(-x for x in k[0]), -k[1]) in present:
+            return _segmentish(2, lo, hi, base, d)  # pinched onto this line
+        else:
+            facets.append(c)
+    if facets:
+        return RegionCell(2, tuple(facets))
+    return None if point is None else PointCell(2, point)
 
 
 def full_space(arity: int) -> Cell:
@@ -285,59 +301,59 @@ def full_space(arity: int) -> Cell:
     return RegionCell(2, tuple())
 
 
-def _interval_cell(cs: list[Constraint]) -> Cell:
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for c in cs:
-        a = c.coeffs[0]
-        bound = c.rhs / a
-        if a > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    return _segmentish(1, lo, hi, (Fraction(0),), (1,))
-
-
-def _null_direction(eqs: list[Constraint], arity: int) -> Optional[tuple[int, ...]]:
-    """A primitive direction annihilated by every equality normal, or None."""
-    normals = [c.coeffs for c in eqs if not is_zero(c.coeffs)]
-    if arity == 1:
-        return None if normals else (1,)
-    base = None
-    for nvec in normals:
-        d = perp(nvec)
-        if base is None:
-            base = d
-        elif not _parallel(base, d):
-            return None
-    return base if base is not None else None
+def _boundary(c: Constraint) -> tuple[Vec, Vec]:
+    """A point and a direction of the boundary line of a 2D constraint."""
+    a, b = c.coeffs
+    base = (c.rhs / a, _ZERO) if a != 0 else (_ZERO, c.rhs / b)
+    return base, (-b, a)
 
 
 def _parallel(d1, d2) -> bool:
     return d1[0] * d2[1] - d1[1] * d2[0] == 0
 
 
-def _clip_line(p: Vec, direction: tuple[int, ...], cs: list[Constraint]) -> Optional[Cell]:
-    """Clip the line p + t*direction by weak constraints; return a cell."""
-    arity = len(p)
-    d = tuple(Fraction(x) for x in direction)
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
+def clip_interval(
+    base: Vec,
+    d: Vec,
+    lo: Optional[Fraction],
+    hi: Optional[Fraction],
+    cs: Iterable[Constraint],
+) -> Optional[tuple[Optional[Fraction], Optional[Fraction]]]:
+    """Clip the parameters [lo, hi] of base + t*d by weak constraints.
+
+    A None bound is unbounded.  Returns the clipped (lo, hi), or None when
+    no parameter is left.
+    """
     for c in cs:
         slope = dot(c.coeffs, d)
-        off = dot(c.coeffs, p)
+        off = dot(c.coeffs, base)
         if slope == 0:
             if off < c.rhs:
                 return None
             continue
         t = (c.rhs - off) / slope
         if slope > 0:
-            lo = t if lo is None else max(lo, t)
-        else:
-            hi = t if hi is None else min(hi, t)
+            if lo is None or t > lo:
+                lo = t
+        elif hi is None or t < hi:
+            hi = t
     if lo is not None and hi is not None and lo > hi:
         return None
-    return _segmentish(arity, lo, hi, p, direction)
+    return lo, hi
+
+
+def _clip_cell(
+    base: Vec,
+    d: Vec,
+    lo: Optional[Fraction],
+    hi: Optional[Fraction],
+    cs: Iterable[Constraint],
+) -> Optional[Cell]:
+    """The cell of base + t*d, t in [lo, hi], satisfying cs, or None."""
+    clipped = clip_interval(base, d, lo, hi, cs)
+    if clipped is None:
+        return None
+    return _segmentish(len(base), clipped[0], clipped[1], base, d)
 
 
 def _segmentish(
@@ -441,6 +457,10 @@ def intersect_cells(c1: Cell, c2: Cell) -> Optional[Cell]:
         return c1 if c2.contains(c1.p) else None
     if isinstance(c2, PointCell):
         return c2 if c1.contains(c2.p) else None
+    if c2.dim == 1:
+        c1, c2 = c2, c1
+    if c1.dim == 1:
+        return _clip_cell(*_as_param(c1), cell_constraints(c2))
     return polyhedron(cell_constraints(c1) + cell_constraints(c2), c1.arity)
 
 
@@ -526,27 +546,6 @@ def _line_line(a1: Vec, c1: Fraction, a2: Vec, c2: Fraction) -> Optional[Vec]:
 
 def line_intersection(a1, c1, a2, c2):
     return _line_line(tuple(map(Fraction, a1)), Fraction(c1), tuple(map(Fraction, a2)), Fraction(c2))
-
-
-def _irredundant(cs: list[Constraint], arity: int) -> list[Constraint]:
-    seen = set()
-    uniq = []
-    for c in cs:
-        k = _constraint_key(c)
-        if k not in seen:
-            seen.add(k)
-            uniq.append(c)
-    kept = list(uniq)
-    i = 0
-    while i < len(kept):
-        c = kept[i]
-        others = kept[:i] + kept[i + 1 :]
-        violated = Constraint(vscale(Fraction(-1), c.coeffs), -c.rhs, True)
-        if not feasible(others + [violated], arity):
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
 
 
 # -- clipping against a box (for rendering) ------------------------------------

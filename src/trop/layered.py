@@ -17,8 +17,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .complexes import Arrangement, CellComplex, HyperLine, tie_lines
 from .errors import ArityError, TropError
-from .geom import Cell
-from .linear import Vec, form_ge
+from .geom import Cell, _as_param, polyhedron
+from .linear import Constraint, Vec, form_ge, vadd, vscale
+from .loci import drop_interior_cells
 from .poly import LayeredPolynomial, TropicalPolynomial, layered
 from .values import LAYER_INF, Layer, LayeredValue, format_layer
 
@@ -96,8 +97,6 @@ class LayeredAlgebraicSet:
         arr = Arrangement(self.arity, lines)
         selected = [c for c in arr.cells if expr.phi(c.sample()) > 1]
         selected.extend(self._full_dim_regions(leafs))
-        from .loci import drop_interior_cells
-
         selected = drop_interior_cells(selected)
         self.complex = CellComplex(self.arity, selected, [lf.base for lf in leafs])
         self.layers: tuple[Layer, ...] = tuple(
@@ -105,33 +104,14 @@ class LayeredAlgebraicSet:
         )
 
     def _full_dim_regions(self, leafs: Sequence[LayeredPolynomial]) -> list[Cell]:
-        """Full-dimensional pieces need a layer>1 coefficient dominating on
-        every polynomial the map takes a minimum over; candidates are
-        intersections of convex dominance regions sampled through phi."""
-        from itertools import product as iproduct
-
-        from .geom import polyhedron
-
+        """Full-dimensional pieces: candidate regions sampled through phi
+        (see _region_systems)."""
         if self.arity != 2:
             return []
         if all(all(l == 1 for l in lf.layers) for lf in leafs):
             return []
-        choices = []
-        for lf in leafs:
-            ids = [i for i, l in enumerate(lf.layers) if l != 1]
-            choices.append(ids or [None])
         out = []
-        for combo in iproduct(*choices):
-            cons = []
-            for lf, i in zip(leafs, combo):
-                if i is None:
-                    continue
-                forms = lf.base.forms()
-                cons += [
-                    form_ge(forms[i], forms[j])
-                    for j in range(len(forms))
-                    if j != i
-                ]
+        for cons in _region_systems(self.expr):
             if not cons:
                 continue
             cell = polyhedron(cons, 2)
@@ -186,6 +166,32 @@ def _cell_names(complex: CellComplex) -> list[str]:
             names.append(f"f{f}")
             f += 1
     return names
+
+
+def _region_systems(expr: LayerExpr) -> list[list[Constraint]]:
+    """Constraint systems of the regions where the map may exceed 1.
+
+    A full-dimensional piece needs a layer>1 coefficient dominating on every
+    polynomial a family or a min takes the minimum over (the product of
+    their choices), but on only one side of a max (the union of the sides).
+    Each choice is a convex dominance region.
+    """
+    if expr.op == "max":
+        return _region_systems(expr.left) + _region_systems(expr.right)
+    if expr.op == "min":
+        right = _region_systems(expr.right)
+        return [a + b for a in _region_systems(expr.left) for b in right]
+    systems: list[list[Constraint]] = [[]]
+    for lf in expr.polys:
+        forms = lf.base.forms()
+        choices = [
+            [form_ge(forms[i], forms[j]) for j in range(len(forms)) if j != i]
+            for i, l in enumerate(lf.layers)
+            if l != 1
+        ]
+        if choices:
+            systems = [s + c for s in systems for c in choices]
+    return systems
 
 
 def layered_set(
@@ -245,9 +251,6 @@ def layering_constant_on_cells(x: LayeredAlgebraicSet) -> bool:
 
 
 def _extra_samples(cell: Cell):
-    from .geom import _as_param
-    from .linear import vadd, vscale
-
     if cell.dim != 1:
         yield cell.sample()
         return

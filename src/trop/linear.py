@@ -5,6 +5,11 @@ Everything here works over tuples of Fractions.  Feasibility of systems of
 elimination, which is exact and, at the handful-of-variables scale this
 package works at, entirely adequate.  The solver also reconstructs a
 rational witness point by back-substitution.
+
+Cells do not go through this solver: `geom` decides intersections in closed
+form.  Fourier-Motzkin serves the arity-3 term classification, the direct
+open-set checks of equality and dimension, the interior sample of a
+region, and the tests, which use it as an independent reference.
 """
 
 from __future__ import annotations

@@ -19,12 +19,14 @@ from .complexes import Arrangement, CellComplex, HyperLine, cross_tie_lines, tie
 from .errors import ArityError, TropError
 from .geom import (
     Cell,
+    RegionCell,
     cell_contains_cell,
     closures_touch,
     full_space,
     intersect_cells,
+    polyhedron,
 )
-from .linear import Constraint, Vec, form_ge
+from .linear import Constraint, Vec, feasible_point, form_ge
 from .poly import Point, TropicalPolynomial
 from .values import st
 
@@ -146,8 +148,6 @@ class AlgebraicSet:
         """
         from itertools import product as iproduct
 
-        from .geom import polyhedron
-
         if self.arity != 2 or any(c.kind != "total" for c in self.conditions):
             return []
         choices = []
@@ -201,13 +201,21 @@ class AlgebraicSet:
             and self.conditions[0].f.is_tangible()
         )
 
+    def _require_complex(self) -> CellComplex:
+        if self.complex is None:
+            raise ArityError(
+                f"exact geometry needs arity <= 2; this set of arity {self.arity} "
+                "supports membership at witness points only"
+            )
+        return self.complex
+
     def dim(self) -> int:
         if self.is_ambient():
             return self.arity
-        return self.complex.dim()
+        return self._require_complex().dim()
 
     def is_empty(self) -> bool:
-        return not self.is_ambient() and self.complex.is_empty()
+        return not self.is_ambient() and self._require_complex().is_empty()
 
     # -- membership ----------------------------------------------------------
 
@@ -240,6 +248,17 @@ class AlgebraicSet:
         )
 
     def erase_facet(self, cond: int, i: int, j: int) -> "AlgebraicSet":
+        if not 0 <= cond < len(self.conditions):
+            raise TropError(
+                f"erase: condition {cond} out of range (the set has "
+                f"{len(self.conditions)})"
+            )
+        terms = len(self.conditions[cond].f.terms)
+        if not (0 <= i < terms and 0 <= j < terms):
+            raise TropError(
+                f"erase: term pair ({i}, {j}) out of range for condition {cond} "
+                f"with {terms} terms"
+            )
         return AlgebraicSet(
             self.arity,
             self.conditions,
@@ -251,7 +270,7 @@ class AlgebraicSet:
             return True
         if other.is_ambient():
             return False
-        return self.complex.covers(other.complex)
+        return self._require_complex().covers(other._require_complex())
 
     def same_set(self, other: "AlgebraicSet") -> bool:
         return self.covers(other) and other.covers(self)
@@ -262,9 +281,9 @@ class AlgebraicSet:
     # -- facets and faces --------------------------------------------------------
 
     def facets(self) -> list[Facet]:
+        cells = self._require_complex().cells
         if self.is_ambient():
-            return [Facet(("ambient",), tuple(self.complex.cells))]
-        cells = self.complex.cells
+            return [Facet(("ambient",), tuple(cells))]
         if not cells:
             return []
         labels_per_cell: list[set[tuple]] = []
@@ -401,9 +420,6 @@ def drop_interior_cells(cells: Sequence[Cell]) -> list[Cell]:
     arrangement pieces that fall strictly inside add no structure to the
     union.  Cells touching a region's boundary are kept.
     """
-    from .geom import RegionCell
-    from .linear import Constraint
-
     regions = [c for c in cells if isinstance(c, RegionCell)]
     if not regions:
         return list(cells)
@@ -452,12 +468,6 @@ def _intersect_cell_unions(
 
 def _union_key(cells: Sequence[Cell]) -> tuple:
     return tuple(sorted((c.dim, c.sort_key()) for c in cells))
-
-
-def _same_union(a: Sequence[Cell], b: Sequence[Cell]) -> bool:
-    ka = {c.key() for c in a}
-    kb = {c.key() for c in b}
-    return ka == kb
 
 
 # -- public constructors --------------------------------------------------------
@@ -513,8 +523,6 @@ def components(
     f: TropicalPolynomial,
 ) -> list[tuple[int, Optional[Cell], bool]]:
     """Closed dominance regions per term, with the tangibility flag."""
-    from .geom import polyhedron
-
     forms = f.forms()
     out = []
     for i in range(len(forms)):
@@ -541,8 +549,6 @@ class PrincipalOpen:
         return self.locus.is_empty()
 
     def sample(self) -> Optional[Vec]:
-        from .linear import feasible_point
-
         forms = self.f.forms()
         for i in range(len(forms)):
             strict = [

@@ -382,10 +382,6 @@ def poly(
     return TropicalPolynomial(arity, terms, context)
 
 
-def constant_poly(arity: int, value: SupertropicalValue) -> TropicalPolynomial:
-    return TropicalPolynomial(arity, [((0,) * arity, value)])
-
-
 def segment_point(a: Point, b: Point, t: Fraction) -> Point:
     """The point a^t b^(1-t): coordinates interpolate multiplicatively."""
     t = Fraction(t)

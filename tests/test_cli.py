@@ -136,3 +136,19 @@ def test_error_exit_codes(capsys):
     assert code == 2
     code = main(["render", "--figure", "nope", "--svg", "-"])
     assert code == 2
+
+
+def test_unsupported_inputs_exit_2(capsys):
+    # arity-3 sets have no exact carrier; an erase index must name a real
+    # condition and term pair.  Both are errors (exit 2), never a traceback.
+    arity3 = '{"mode":"corner","polys":["x1+x2+x3+0"]}'
+    for argv in (
+        ["dim", "-X", arity3],
+        ["admissible", "-X", arity3],
+        ["admissible", "-X", '{"mode":"corner","polys":["x1+x2+0"],"erase":[[5,0,1]]}'],
+        ["equal", "-X", '{"mode":"corner","polys":["x1+x2+0"],"erase":[[0,0,3]]}',
+         "-f", "x1", "-g", "x2"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("trop: ")

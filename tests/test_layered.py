@@ -179,6 +179,22 @@ def test_high_layer_coefficient_regions():
     assert len(regions) == 1
 
 
+def test_join_carrier_with_ghost_coefficients():
+    # a max needs a ghost region on one side only: the carrier of the join
+    # is exactly where the joined layering map exceeds 1
+    f = p2("-1/2*x1^2 + -3/2v*x2^2 + 3v*x2 + 2v")
+    g = p2("-4v*x1^2 + -4*x1 + -2*x2")
+    J = join(layered_set([f]), layered_set([g]))
+    grid = [Fraction(i, 2) for i in range(-7, 7)]
+    wrong = [
+        (x, y)
+        for x in grid
+        for y in grid
+        if J.complex.contains((x, y)) != (J.layer_at((x, y)) > 1)
+    ]
+    assert len(grid) ** 2 == 196 and wrong == []
+
+
 def test_supertropical_collapse_compatibility(rng):
     # layer > 1 exactly where the supertropical evaluation is ghost
     for _ in range(10):
