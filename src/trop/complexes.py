@@ -1,8 +1,11 @@
 """Arrangements of rational tie lines and cell complexes built from them.
 
 The dominance structure of a family of tropical polynomials is piecewise
-constant on the arrangement of all pairwise tie hyperplanes.  Cells are
-closed convex pieces whose relative interiors carry constant dominant
+constant on the arrangement of the tie lines that occur: those on which
+two terms co-dominate along a 1-cell (in one variable, at a point).  They
+carry the edges of the regular subdivision dual to each polynomial, so
+the arrangement grows with the locus, not with all pairwise ties.  Cells
+are closed convex pieces whose relative interiors carry constant dominant
 sets; every cell records one exact rational sample point in its relative
 interior, and annotations are recomputed from samples on demand.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import ArityError
@@ -32,7 +36,7 @@ from .geom import (
     perp,
     primitive_signed,
 )
-from .linear import Constraint, Vec, dot, is_zero, primitive, vadd, vscale, vsub
+from .linear import Vec, dot, is_zero, primitive, vadd, vscale, vsub
 from .poly import TropicalPolynomial
 
 _ZERO = Fraction(0)
@@ -95,20 +99,54 @@ def cross_tie_lines(
     return out
 
 
+@lru_cache(maxsize=128)
+def occurring_tie_lines(f: TropicalPolynomial) -> frozenset[HyperLine]:
+    """The tie lines of f on which two terms co-dominate along a 1-cell.
+
+    In one variable: the tie points where the two terms co-dominate.  A
+    pair (i, j) not already kept clips its line by form_i >= form_k for the
+    other terms k; the line occurs when a positive or unbounded parameter
+    interval is left.
+
+    Their arrangement gives the same complexes as all pairwise ties.  Every
+    vertex where a dominant set changes is a crossing of two occurring
+    lines: a tie that holds only at a point lies where non-collinear
+    co-dominant terms meet, and occurring lines cross there.  Every other
+    crossing lies off the locus or inside an edge, where
+    `_prune_redundant_vertices` merges it as before.
+
+    Memoized, since polynomials are immutable and lattice operations and
+    `preceq` ask again for the lines of the same leaves.
+    """
+    forms = f.forms()
+    out: set[HyperLine] = set()
+    for i in range(len(forms)):
+        dominant = f.dominance(i)  # form_i >= form_j holds on the whole line
+        for j in range(i + 1, len(forms)):
+            normal = vsub(forms[i].coeffs, forms[j].coeffs)
+            line = HyperLine.of(normal, forms[j].const - forms[i].const)
+            if line in out:
+                continue
+            d = line.direction() if f.arity == 2 else (0,)
+            clipped = clip_interval(_point_on(line), d, None, None, dominant)
+            if clipped is not None and (None in clipped or clipped[0] < clipped[1]):
+                out.add(line)
+    return frozenset(out)
+
+
 class Arrangement:
     """The cells cut out of the plane (or line) by a finite set of lines."""
 
-    def __init__(self, arity: int, lines: Iterable[HyperLine], two_cells: bool = False):
+    def __init__(self, arity: int, lines: Iterable[HyperLine]):
         if arity not in (1, 2):
             raise ArityError(f"arrangements support arity 1 or 2, got {arity}")
         self.arity = arity
         self.lines: list[HyperLine] = sorted(set(lines), key=lambda l: (l.a, l.c))
         self.cells: list[Cell] = []
-        self.has_two_cells = two_cells
         if arity == 1:
             self._build_1d()
         else:
-            self._build_2d(two_cells)
+            self._build_2d()
 
     def _build_1d(self) -> None:
         breaks = sorted({line.c / Fraction(line.a[0]) for line in self.lines})
@@ -122,7 +160,7 @@ class Arrangement:
             cells.append(RayCell(1, (breaks[-1],), (1,)))
         self.cells = cells
 
-    def _build_2d(self, two_cells: bool) -> None:
+    def _build_2d(self) -> None:
         verts: set[Vec] = set()
         on_line: dict[int, set[Vec]] = {i: set() for i in range(len(self.lines))}
         for i in range(len(self.lines)):
@@ -135,62 +173,41 @@ class Arrangement:
                     on_line[i].add(p)
                     on_line[j].add(p)
         cells: list[Cell] = [PointCell(2, v) for v in sorted(verts)]
-        one_cells: list[tuple[int, Cell]] = []
         for i, line in enumerate(self.lines):
             d = tuple(Fraction(x) for x in line.direction())
             pts = sorted(on_line[i], key=lambda p: dot(d, p))
             if not pts:
-                one_cells.append((i, make_line(_point_on(line), line.direction())))
+                cells.append(make_line(_point_on(line), line.direction()))
                 continue
-            one_cells.append((i, RayCell(2, pts[0], primitive_signed(vscale(Fraction(-1), d)))))
-            for a, b in zip(pts, pts[1:]):
-                one_cells.append((i, make_seg(a, b)))
-            one_cells.append((i, RayCell(2, pts[-1], primitive_signed(d))))
-        cells.extend(c for _, c in one_cells)
-        if two_cells:
-            cells.extend(self._two_cells(one_cells))
+            cells.append(RayCell(2, pts[0], primitive_signed(vscale(Fraction(-1), d))))
+            cells.extend(make_seg(a, b) for a, b in zip(pts, pts[1:]))
+            cells.append(RayCell(2, pts[-1], primitive_signed(d)))
         self.cells = cells
 
-    def _two_cells(self, one_cells: list[tuple[int, Cell]]) -> list[Cell]:
-        if not self.lines:
-            return [full_space(2)]
-        found: dict[tuple, Cell] = {}
-        for line_idx, cell in one_cells:
-            line = self.lines[line_idx]
-            a = line.a_frac()
-            m = cell.sample()
-            delta = self._offset_step(line_idx, m, a)
-            for sgn in (1, -1):
-                s = vadd(m, vscale(sgn * delta, a))
-                sig = tuple(
-                    1 if l.form_value(s) > 0 else -1 for l in self.lines
-                )
-                if sig in found:
-                    continue
-                constraints = tuple(
-                    Constraint(
-                        vscale(Fraction(sg), l.a_frac()), Fraction(sg) * l.c
-                    )
-                    for sg, l in zip(sig, self.lines)
-                )
-                found[sig] = RegionCell(2, constraints)
-        return [found[sig] for sig in sorted(found)]
+    def side_samples(self) -> list[Vec]:
+        """Points that meet every 2-cell of a planar arrangement.
 
-    def _offset_step(self, line_idx: int, m: Vec, a: Vec) -> Fraction:
-        step: Optional[Fraction] = None
-        a2 = dot(a, a)
-        for j, other in enumerate(self.lines):
-            if j == line_idx:
+        Every 2-cell has a 1-cell on its boundary.  Each 1-cell's sample
+        moves off its line both ways along the normal, by half the distance
+        to the nearest other line on that normal.  Without lines the plane
+        is one 2-cell, met at the origin.
+        """
+        if not self.lines:
+            return [(_ZERO, _ZERO)]
+        out = []
+        for cell in self.cells:
+            if cell.dim != 1:
                 continue
-            denom = dot(other.a_frac(), a)
-            if denom == 0:
-                continue
-            t = (other.c - dot(other.a_frac(), m)) / denom
-            if t != 0:
-                at = abs(t) * a2  # normalize: moving by delta*a changes a.x by delta*|a|^2
-                step = at if step is None else min(step, at)
-        base = step / 2 if step is not None else Fraction(1)
-        return base / a2
+            m = cell.sample()
+            n = perp(_as_param(cell)[1])
+            ts = [
+                abs(l.form_value(m) / dot(l.a_frac(), n))
+                for l in self.lines
+                if dot(l.a_frac(), n) != 0 and l.form_value(m) != 0
+            ]
+            step = vscale(min(ts, default=Fraction(2)) / 2, n)
+            out += [vadd(m, step), vsub(m, step)]
+        return out
 
 
 def _point_on(line: HyperLine) -> Vec:
@@ -286,21 +303,30 @@ class CellComplex:
 
     # -- serialization -------------------------------------------------------
 
+    def cell_names(self) -> list[str]:
+        """The names `to_json` gives the cells, in order: v<vertex id>, then
+        e<i> and f<i> counting edges and faces."""
+        vid = {v: i for i, v in enumerate(self.vertex_list())}
+        names = []
+        seen = {1: 0, 2: 0}
+        for c in self.cells:
+            if c.dim == 0:
+                names.append(f"v{vid[c.p]}")
+            else:
+                names.append(f"{'ef'[c.dim - 1]}{seen[c.dim]}")
+                seen[c.dim] += 1
+        return names
+
     def to_json(self) -> dict:
         verts = self.vertex_list()
         vid = {v: i for i, v in enumerate(verts)}
         edges = []
         faces = []
-        cell_names: list[str] = []
         for c in self.cells:
-            if isinstance(c, PointCell):
-                cell_names.append(f"v{vid[c.p]}")
-            elif isinstance(c, SegCell):
+            if isinstance(c, SegCell):
                 edges.append({"v": [vid[c.a], vid[c.b]]})
-                cell_names.append(f"e{len(edges) - 1}")
             elif isinstance(c, RayCell):
                 edges.append({"v": vid[c.base], "dir": list(c.dir)})
-                cell_names.append(f"e{len(edges) - 1}")
             elif isinstance(c, RegionCell):
                 vrep = c.vrep()
                 faces.append(
@@ -311,7 +337,7 @@ class CellComplex:
                         + [[-l[0], -l[1]] for l in vrep.lineality],
                     }
                 )
-                cell_names.append(f"f{len(faces) - 1}")
+        cell_names = self.cell_names()
         ann: dict[str, dict[str, list[int]]] = {}
         for pi in range(len(self.polys)):
             ann[str(pi)] = {

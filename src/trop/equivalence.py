@@ -610,16 +610,10 @@ def _tangible_dense_on(X: AlgebraicSet, g: TropicalPolynomial) -> bool:
             # full-dimensional: no ghost-coefficient term may dominate an
             # open subregion (ties are lower-dimensional automatically)
             region = _strict(cell_constraints(cell))
-            forms = g.forms()
             for i, m in enumerate(g.terms):
-                if not m.coeff.ghost:
-                    continue
-                sys = region + [
-                    form_ge(forms[i], forms[j], strict=True)
-                    for j in range(len(forms))
-                    if j != i
-                ]
-                if feasible(sys, cell.arity):
+                if m.coeff.ghost and feasible(
+                    region + g.dominance(i, strict=True), cell.arity
+                ):
                     return False
             continue
         base, d, _, _ = _as_param(cell)

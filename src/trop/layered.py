@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .complexes import Arrangement, CellComplex, HyperLine, tie_lines
+from .complexes import Arrangement, CellComplex, occurring_tie_lines
 from .errors import ArityError, TropError
 from .geom import Cell, _as_param, polyhedron
-from .linear import Constraint, Vec, form_ge, vadd, vscale
+from .linear import Constraint, Vec, vadd, vscale
 from .loci import drop_interior_cells
 from .poly import LayeredPolynomial, TropicalPolynomial, layered
 from .values import LAYER_INF, Layer, LayeredValue, format_layer
@@ -91,10 +91,7 @@ class LayeredAlgebraicSet:
         if self.arity not in (1, 2):
             raise ArityError("layered sets support arity 1 or 2")
         leafs = expr.leaf_polys()
-        lines: set[HyperLine] = set()
-        for lf in leafs:
-            lines |= tie_lines(lf.base)
-        arr = Arrangement(self.arity, lines)
+        arr = _leaf_arrangement(self.arity, leafs)
         selected = [c for c in arr.cells if expr.phi(c.sample()) > 1]
         selected.extend(self._full_dim_regions(leafs))
         selected = drop_interior_cells(selected)
@@ -137,7 +134,7 @@ class LayeredAlgebraicSet:
 
     def to_json(self) -> dict:
         out = self.complex.to_json()
-        names = _cell_names(self.complex)
+        names = self.complex.cell_names()
         out["layers"] = {
             names[i]: ("inf" if l is LAYER_INF else l)
             for i, l in enumerate(self.layers)
@@ -151,21 +148,9 @@ class LayeredAlgebraicSet:
         return f"layered[{pieces}]"
 
 
-def _cell_names(complex: CellComplex) -> list[str]:
-    verts = complex.vertex_list()
-    vid = {v: i for i, v in enumerate(verts)}
-    names = []
-    e = f = 0
-    for c in complex.cells:
-        if c.dim == 0:
-            names.append(f"v{vid[c.p]}")
-        elif c.dim == 1:
-            names.append(f"e{e}")
-            e += 1
-        else:
-            names.append(f"f{f}")
-            f += 1
-    return names
+def _leaf_arrangement(arity: int, leafs: Sequence[LayeredPolynomial]) -> Arrangement:
+    """The arrangement of the tie lines that occur for the leaf polynomials."""
+    return Arrangement(arity, [l for lf in leafs for l in occurring_tie_lines(lf.base)])
 
 
 def _region_systems(expr: LayerExpr) -> list[list[Constraint]]:
@@ -174,7 +159,8 @@ def _region_systems(expr: LayerExpr) -> list[list[Constraint]]:
     A full-dimensional piece needs a layer>1 coefficient dominating on every
     polynomial a family or a min takes the minimum over (the product of
     their choices), but on only one side of a max (the union of the sides).
-    Each choice is a convex dominance region.
+    Each choice is a convex dominance region.  A family with a member whose
+    layers are all 1 has no such piece: that member's map is 1 off its locus.
     """
     if expr.op == "max":
         return _region_systems(expr.left) + _region_systems(expr.right)
@@ -183,14 +169,8 @@ def _region_systems(expr: LayerExpr) -> list[list[Constraint]]:
         return [a + b for a in _region_systems(expr.left) for b in right]
     systems: list[list[Constraint]] = [[]]
     for lf in expr.polys:
-        forms = lf.base.forms()
-        choices = [
-            [form_ge(forms[i], forms[j]) for j in range(len(forms)) if j != i]
-            for i, l in enumerate(lf.layers)
-            if l != 1
-        ]
-        if choices:
-            systems = [s + c for s in systems for c in choices]
+        choices = [lf.base.dominance(i) for i, l in enumerate(lf.layers) if l != 1]
+        systems = [s + c for s in systems for c in choices]
     return systems
 
 
@@ -217,18 +197,20 @@ def _match(x: LayeredAlgebraicSet, y: LayeredAlgebraicSet) -> None:
 
 
 def preceq(x: LayeredAlgebraicSet, y: LayeredAlgebraicSet) -> bool:
-    """x <= y: x's carrier sits inside y's and layers never exceed y's."""
+    """x <= y: x's carrier sits inside y's and layers never exceed y's.
+
+    Both layering maps are constant on each cell of the arrangement of the
+    tie lines that occur for the leaves, so one sample per cell decides.
+    The 2-cells are sampled only when x's carrier is 2-dimensional: else
+    x's map is 1 on every open set.
+    """
     _match(x, y)
     leafs = x.expr.leaf_polys() + y.expr.leaf_polys()
-    lines: set[HyperLine] = set()
-    for lf in leafs:
-        lines |= tie_lines(lf.base)
-    arr = Arrangement(x.arity, lines)
-    cells: list[Cell] = list(arr.cells)
-    cells.extend(c for c in x.complex.cells if c.dim == x.arity)
-    cells.extend(c for c in y.complex.cells if c.dim == y.arity)
-    for cell in cells:
-        s = cell.sample()
+    arr = _leaf_arrangement(x.arity, leafs)
+    samples = [c.sample() for c in arr.cells]
+    if x.complex.dim() == 2:
+        samples += arr.side_samples()
+    for s in samples:
         lx = x.expr.phi(s)
         if lx > 1 and y.expr.phi(s) < lx:
             return False

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .complexes import Arrangement, CellComplex, HyperLine, cross_tie_lines, tie_lines
+from .complexes import (
+    Arrangement,
+    CellComplex,
+    HyperLine,
+    cross_tie_lines,
+    occurring_tie_lines,
+)
 from .errors import ArityError, TropError
 from .geom import (
     Cell,
@@ -26,7 +32,7 @@ from .geom import (
     intersect_cells,
     polyhedron,
 )
-from .linear import Constraint, Vec, feasible_point, form_ge
+from .linear import Constraint, Vec, feasible_point
 from .poly import Point, TropicalPolynomial
 from .values import st
 
@@ -40,10 +46,10 @@ class Condition:
     g: Optional[TropicalPolynomial] = None
 
     def lines(self) -> set[HyperLine]:
-        out = tie_lines(self.f)
+        out = set(occurring_tie_lines(self.f))
         if self.kind == "pair":
             assert self.g is not None
-            out |= tie_lines(self.g)
+            out |= occurring_tie_lines(self.g)
             out |= cross_tie_lines(self.f, self.g)
         return out
 
@@ -121,10 +127,7 @@ class AlgebraicSet:
     def _build(self) -> CellComplex:
         if not self.conditions:
             return CellComplex(self.arity, [full_space(self.arity)], [])
-        lines: set[HyperLine] = set()
-        for c in self.conditions:
-            lines |= c.lines()
-        arr = Arrangement(self.arity, lines)
+        arr = Arrangement(self.arity, [l for c in self.conditions for l in c.lines()])
         selected = []
         for cell in arr.cells:
             s = cell.sample()
@@ -160,14 +163,9 @@ class AlgebraicSet:
             choices.append(ghost_ids)
         out = []
         for combo in iproduct(*choices):
-            cons = []
-            for cond, i in zip(self.conditions, combo):
-                forms = cond.f.forms()
-                cons += [
-                    form_ge(forms[i], forms[j])
-                    for j in range(len(forms))
-                    if j != i
-                ]
+            cons = [
+                c for cond, i in zip(self.conditions, combo) for c in cond.f.dominance(i)
+            ]
             cell = polyhedron(cons, 2)
             if cell is not None and cell.dim == 2:
                 out.append(cell)
@@ -523,11 +521,9 @@ def components(
     f: TropicalPolynomial,
 ) -> list[tuple[int, Optional[Cell], bool]]:
     """Closed dominance regions per term, with the tangibility flag."""
-    forms = f.forms()
     out = []
-    for i in range(len(forms)):
-        cons = [form_ge(forms[i], forms[j]) for j in range(len(forms)) if j != i]
-        cell = polyhedron(cons, f.arity)
+    for i in range(len(f.terms)):
+        cell = polyhedron(f.dominance(i), f.arity)
         out.append((i, cell, f.terms[i].coeff.tangible))
     return out
 
@@ -549,14 +545,8 @@ class PrincipalOpen:
         return self.locus.is_empty()
 
     def sample(self) -> Optional[Vec]:
-        forms = self.f.forms()
-        for i in range(len(forms)):
-            strict = [
-                form_ge(forms[i], forms[j], strict=True)
-                for j in range(len(forms))
-                if j != i
-            ]
-            p = feasible_point(strict, self.f.arity)
+        for i in range(len(self.f.terms)):
+            p = feasible_point(self.f.dominance(i, strict=True), self.f.arity)
             if p is not None:
                 return p
         return None

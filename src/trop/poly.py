@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ArityError, TropError
-from .linear import AffineForm, Vec, feasible, form_ge
+from .linear import AffineForm, Constraint, Vec, feasible, form_ge
 from .values import (
     LAYER_INF,
     Layer,
@@ -194,6 +194,11 @@ class TropicalPolynomial:
     def forms(self) -> list[AffineForm]:
         return [m.form() for m in self.terms]
 
+    def dominance(self, i: int, strict: bool = False) -> list[Constraint]:
+        """Constraints on the point: term i attains the maximum magnitude."""
+        forms = self.forms()
+        return [form_ge(forms[i], g, strict) for j, g in enumerate(forms) if j != i]
+
     def monomial(self, i: int) -> "TropicalPolynomial":
         m = self.terms[i]
         return TropicalPolynomial(self.arity, [(m.exps, m.coeff)], self.context)
@@ -247,13 +252,9 @@ class TropicalPolynomial:
             raise ArityError(
                 f"exact classification supports arity <= {MAX_EXACT_ARITY}"
             )
-        forms = self.forms()
-        others = [j for j in range(len(forms)) if j != i]
-        strict = [form_ge(forms[i], forms[j], strict=True) for j in others]
-        if feasible(strict, self.arity):
+        if feasible(self.dominance(i, strict=True), self.arity):
             return Classification.ESSENTIAL
-        weak = [form_ge(forms[i], forms[j]) for j in others]
-        if feasible(weak, self.arity):
+        if feasible(self.dominance(i), self.arity):
             return Classification.QUASI_ESSENTIAL
         return Classification.INESSENTIAL
 

@@ -195,6 +195,30 @@ def test_join_carrier_with_ghost_coefficients():
     assert len(grid) ** 2 == 196 and wrong == []
 
 
+def test_family_carrier_with_a_layer_one_member():
+    # g's map is 1 off its locus, so the family has no 2-dimensional piece
+    f = parse_layered_poly("0@2*x1^2*x2^2 + 0v*x1^2 + 0v*x1*x2 + 0@2*x2^2 + 0", 2)
+    g = p2("x1^2 + -1*x1*x2 + x2^2 + 0")
+    F = layered_set([f, g])
+    assert F.complex.dim() == 1
+    grid = [Fraction(i, 2) for i in range(-8, 9)]
+    assert all(
+        F.complex.contains((x, y)) == (F.layer_at((x, y)) > 1)
+        for x in grid
+        for y in grid
+    )
+
+
+def test_preceq_samples_two_cells():
+    # on the quadrant x1 > 0, x2 < 0 x has layer 2 and y has layer 1; the
+    # quadrant is a whole 2-cell of the arrangement of the ties that occur
+    X = layered_set([parse_layered_poly("0@2*x1^2 + 0v*x2 + 0@2", 2)])
+    Y = layered_set([parse_layered_poly("0v*x1*x2 + x1 + 0v*x2 + 0v", 2)])
+    p = (Fraction(1, 4), Fraction(-4))
+    assert X.layer_at(p) == 2 and Y.layer_at(p) == 1
+    assert not preceq(X, Y)
+
+
 def test_supertropical_collapse_compatibility(rng):
     # layer > 1 exactly where the supertropical evaluation is ghost
     for _ in range(10):
